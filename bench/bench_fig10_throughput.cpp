@@ -42,8 +42,8 @@ double measured_gbps(co::StreamEngine& engine, const std::string& algo,
                      bsrng::bench::JsonWriter& json) {
   engine.generate(co::StreamRequest{algo, 1}, buf);  // warm-up
   const auto rep = engine.generate(co::StreamRequest{algo, 1}, buf);
-  json.add({algo, co::find_algorithm(algo)->lanes, 1, rep.bytes,
-            rep.wall_seconds, rep.gbps()});
+  json.add(bsrng::bench::report_record(algo, co::find_algorithm(algo)->lanes,
+                                       rep));
   return rep.gbps();
 }
 

@@ -4,8 +4,13 @@
 // writes a JSON array of records alongside its human-readable tables:
 //
 //   [{"algorithm": "mickey-bs512", "backend": "host",
-//     "bench": "bench_stream_engine", "bytes": 4194304, "gbps": 12.3,
-//     "seconds": 0.0027, "width": 512, "workers": 4}, ...]
+//     "bench": "bench_stream_engine", "bytes": 4194304, "executed_width": 128,
+//     "gbps": 12.3, "seconds": 0.0027, "width": 512, "workers": 4}, ...]
+//
+// `width` is the algorithm's nominal lane count; `executed_width` (engine
+// and multi-device rows) is the lane width of the shard generators that
+// actually ran, which is narrower when a lane-slice stream is split across
+// workers.
 //
 // The flag is stripped from argc/argv *before* benchmark::Initialize runs
 // (Google Benchmark aborts on flags it does not know).  Records come from
@@ -20,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/throughput.hpp"
 #include "telemetry/json.hpp"
 
 namespace bsrng::bench {
@@ -82,7 +88,21 @@ struct JsonRecord {
   std::int64_t transactions_predicted = -1;
   std::int64_t transactions_measured = -1;
   double tpa_predicted = -1.0;
+
+  // Lane width the measured shards executed (ThroughputReport::
+  // executed_width); 0 means "not recorded" and the key is omitted.
+  std::size_t executed_width = 0;
 };
+
+// The record of one StreamEngine / multi-device run of `algorithm` (nominal
+// lane count `width`): its workers, bytes, wall time and executed width.
+inline JsonRecord report_record(std::string algorithm, std::size_t width,
+                                const core::ThroughputReport& rep) {
+  JsonRecord r{std::move(algorithm), width, rep.workers, rep.bytes,
+               rep.wall_seconds, rep.gbps()};
+  r.executed_width = rep.executed_width;
+  return r;
+}
 
 class JsonWriter {
  public:
@@ -141,6 +161,9 @@ class JsonWriter {
                       static_cast<double>(r.transactions_measured)));
       if (r.tpa_predicted >= 0.0)
         o.emplace("tpa_predicted", telemetry::JsonValue(r.tpa_predicted));
+      if (r.executed_width > 0)
+        o.emplace("executed_width",
+                  telemetry::JsonValue(static_cast<double>(r.executed_width)));
       arr.emplace_back(std::move(o));
     }
     const std::string text = telemetry::JsonValue(std::move(arr)).dump();

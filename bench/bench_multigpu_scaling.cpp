@@ -36,8 +36,7 @@ void print_scaling(bsrng::bench::JsonWriter& json,
                 rep.wall_seconds, rep.max_worker_seconds,
                 rep.sum_worker_seconds, rep.modeled_speedup(),
                 out == reference ? "yes" : "NO");
-    json.add({"aes-ctr-bs32", 32, d, rep.bytes, rep.wall_seconds,
-              rep.gbps()});
+    json.add(bsrng::bench::report_record("aes-ctr-bs32", 32, rep));
   }
 
   std::printf("\n=== §5.4 multi-device MICKEY (lane-partitioned) ===\n");
@@ -49,8 +48,7 @@ void print_scaling(bsrng::bench::JsonWriter& json,
     const auto rep = co::multi_device_mickey(99, d, mout);
     std::printf("%-9zu %12.4f %16.2f %10s\n", d, rep.wall_seconds,
                 rep.modeled_speedup(), mout == mref ? "yes" : "NO");
-    json.add({"mickey-bs32", 32, d, rep.bytes, rep.wall_seconds,
-              rep.gbps()});
+    json.add(bsrng::bench::report_record("mickey-bs32", 32, rep));
   }
   // Any registered algorithm through the descriptor-driven entry point:
   // multi_device_generate shards per the algorithm's own PartitionSpec, and
@@ -68,7 +66,7 @@ void print_scaling(bsrng::bench::JsonWriter& json,
       std::printf("%-16s %-9zu %12.4f %16.2f %10s\n", algo.c_str(), d,
                   rep.wall_seconds, rep.modeled_speedup(),
                   gout == gref ? "yes" : "NO");
-      json.add({algo, width, d, rep.bytes, rep.wall_seconds, rep.gbps()});
+      json.add(bsrng::bench::report_record(algo, width, rep));
     }
   }
 
@@ -87,8 +85,7 @@ void print_scaling(bsrng::bench::JsonWriter& json,
     std::printf("%-9zu %12.4f %12.4f %16.2f %10s\n", w, rep.wall_seconds,
                 rep.sum_worker_seconds, rep.modeled_speedup(),
                 out == direct ? "yes" : "NO");
-    json.add({"aes-ctr-bs32", 32, w, rep.bytes, rep.wall_seconds,
-              rep.gbps()});
+    json.add(bsrng::bench::report_record("aes-ctr-bs32", 32, rep));
   }
 
   std::printf(

@@ -56,8 +56,8 @@ void print_engine_table(bsrng::bench::JsonWriter& json) {
     std::printf("%-16s %-11s %10.3f %10.3f %16.2f %10s\n", a.name.c_str(),
                 partition_name(a.partition), r1.gbps(), r4.gbps(),
                 r4.modeled_speedup(), ok1 && ok4 ? "yes" : "NO");
-    json.add({a.name, a.lanes, 1, r1.bytes, r1.wall_seconds, r1.gbps()});
-    json.add({a.name, a.lanes, 4, r4.bytes, r4.wall_seconds, r4.gbps()});
+    json.add(bsrng::bench::report_record(a.name, a.lanes, r1));
+    json.add(bsrng::bench::report_record(a.name, a.lanes, r4));
   }
   std::printf(
       "\nmodeled speedup is the work-balance bound (sum/max of per-worker\n"

@@ -26,9 +26,9 @@
 
 namespace bsrng::core {
 
-// Lanes per partition shard and per simulated GPU thread: the paper's
-// per-thread configuration (§4.4 runs one 32-lane engine per CUDA thread,
-// §5.4 one such engine per device).
+// Lanes per simulated GPU thread — the paper's per-thread configuration
+// (§4.4 runs one 32-lane engine per CUDA thread, §5.4 one such engine per
+// device) — and the narrowest StreamEngine lane shard.
 inline constexpr std::size_t kLaneBlockLanes = 32;
 
 namespace adapters {

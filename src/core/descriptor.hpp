@@ -62,12 +62,15 @@ struct AlgorithmDescriptor {
       std::uint64_t first_block)>
       make_at_block;
 
-  // kLaneSlice: the 32-lane column sub-stream over lanes
-  // [32 * lane_block, 32 * lane_block + 32) of the master derivation (the
-  // PartitionSpec::make_lane_block shard — width-independent because lane
-  // parameters depend only on lane index).  Null for kCounter ciphers.
+  // kLaneSlice: the `lanes`-wide column sub-stream over lanes
+  // [lanes * lane_block, lanes * (lane_block + 1)) of the master derivation,
+  // run at slice width `lanes` (32..512; the PartitionSpec::make_lane_block
+  // shard).  Width-independent because lane parameters depend only on the
+  // lane index, so any lane range rebuilds its byte columns exactly.  Null
+  // for kCounter ciphers.
   std::function<std::unique_ptr<Generator>(
-      std::string name, std::uint64_t seed, std::size_t lane_block)>
+      std::string name, std::uint64_t seed, std::size_t lanes,
+      std::size_t lane_block)>
       make_lane_block;
 
   // Launch this cipher's kernel on the virtual GPU (gpu_kernel.hpp

@@ -38,8 +38,8 @@ class Generator {
 // Clock `gen` forward by `n` stream bytes, discarding the output (chunked
 // through a small scratch buffer).  The O(n) seek for generators whose
 // family has no cheaper PartitionSpec decomposition — StreamEngine's
-// generate_at and bsrngd's session resume use it for the kLaneSlice /
-// kSequential paths.
+// positional generate and bsrngd's session resume use it for the
+// kLaneSlice / kSequential paths.
 void discard_bytes(Generator& gen, std::uint64_t n);
 
 }  // namespace bsrng::core

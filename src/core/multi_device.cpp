@@ -156,8 +156,9 @@ MultiDeviceReport multi_device_generate(std::string_view algorithm,
                                         std::span<std::uint8_t> out,
                                         bool parallel) {
   if (devices == 0) throw std::invalid_argument("need at least one device");
-  return record_run(make_device_engine(devices, parallel)
-                        .generate(partition_spec(algorithm, seed), 0, out));
+  return record_run(
+      make_device_engine(devices, parallel)
+          .generate(partition_spec(algorithm, seed, devices), 0, out));
 }
 
 namespace {
@@ -222,7 +223,7 @@ MultiDeviceReport multi_device_generate(std::string_view algorithm,
                                  options.parallel);
   if (devices == 0) throw std::invalid_argument("need at least one device");
   using Clock = std::chrono::steady_clock;
-  const PartitionSpec spec = partition_spec(algorithm, seed);
+  const PartitionSpec spec = partition_spec(algorithm, seed, devices);
 
   MultiDeviceReport rep;
   rep.per_worker.resize(devices);

@@ -50,9 +50,10 @@ MultiDeviceReport multi_device_mickey(std::uint64_t master_seed,
                                       bool parallel = true);
 
 // Fill `out` with the canonical stream of ANY registered algorithm, split
-// across `devices` per the algorithm's own PartitionSpec (contiguous counter
-// ranges for kCounter, interleaved 32-lane columns for kLaneSlice, one
-// device for kSequential).  Byte-identical to make_generator(algorithm,
+// across `devices` per the algorithm's own PartitionSpec laid out for
+// `devices` workers (contiguous counter ranges for kCounter, interleaved
+// lane columns of the widest slice that gives every device one for
+// kLaneSlice, one device for kSequential).  Byte-identical to make_generator(algorithm,
 // seed)->fill(out) for every device count — the §5.4 reconstruction
 // property, generalized from the two bespoke wrappers above via the
 // algorithm descriptor table.  Throws std::invalid_argument for unknown
@@ -66,11 +67,11 @@ MultiDeviceReport multi_device_generate(std::string_view algorithm,
 struct MultiDeviceOptions {
   bool parallel = true;
   // Stage each device's chunk through a gpusim::Device: one launch per
-  // device whose threads generate the chunk positionally (generate_at) and
-  // store it word-by-word through the device's global memory, so the
-  // traffic is cost-modeled and the launch can fault.  A DeviceFault from
+  // device whose threads generate the chunk positionally and store it
+  // word-by-word through the device's global memory, so the traffic is
+  // cost-modeled and the launch can fault.  A DeviceFault from
   // any launch walks the degradation ladder: the whole span is regenerated
-  // on the host StreamEngine path (byte-identical — generate_at is
+  // on the host StreamEngine path (byte-identical — positional generate is
   // idempotent), multi_device.device_fallbacks is counted, and the report
   // is annotated (device_fallbacks / degraded_to_host).
   bool use_gpusim = false;

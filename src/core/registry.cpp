@@ -22,6 +22,7 @@
 #include "core/adapters.hpp"
 #include "core/descriptor.hpp"
 #include "core/keyschedule.hpp"
+#include "core/thread_pool.hpp"
 #include "lfsr/bitsliced_lfsr.hpp"
 
 namespace bsrng::core {
@@ -265,8 +266,9 @@ bool algorithm_exists(std::string_view name) noexcept {
   return factories().count(std::string(name)) != 0;
 }
 
-PartitionSpec AlgorithmInfo::partition_spec(std::uint64_t seed) const {
-  return core::partition_spec(name, seed);
+PartitionSpec AlgorithmInfo::partition_spec(std::uint64_t seed,
+                                            std::size_t workers) const {
+  return core::partition_spec(name, seed, workers);
 }
 
 std::optional<AlgorithmInfo> find_algorithm(std::string_view name) {
@@ -275,7 +277,8 @@ std::optional<AlgorithmInfo> find_algorithm(std::string_view name) {
   return std::nullopt;
 }
 
-PartitionSpec partition_spec(std::string_view name, std::uint64_t seed) {
+PartitionSpec partition_spec(std::string_view name, std::uint64_t seed,
+                             std::size_t workers) {
   if (factories().find(std::string(name)) == factories().end())
     throw std::invalid_argument("unknown generator: " + std::string(name));
   PartitionSpec spec;
@@ -292,14 +295,18 @@ PartitionSpec partition_spec(std::string_view name, std::uint64_t seed) {
       };
       return spec;
     }
-    // A W-lane serialized stream is rows of W/8 bytes; a 32-lane sub-engine
-    // over lanes [32b, 32b+32) — built from the same per-lane derivation as
-    // the full engine — reproduces byte columns [4b, 4b+4) of every row.
+    // A W-lane serialized stream is rows of W/8 bytes; an S-lane sub-engine
+    // over lanes [S*b, S*b+S) — built from the same per-lane derivation as
+    // the full engine — reproduces byte columns [S/8*b, S/8*(b+1)) of every
+    // row.  The grid rule for S is documented on partition_spec.
+    if (workers == 0) workers = ThreadPool::default_workers();
+    std::size_t s = w;
+    while (s > kLaneBlockLanes && w / s < workers) s /= 2;
     spec.kind = PartitionKind::kLaneSlice;
-    spec.lane_blocks = w / kLaneBlockLanes;
-    spec.lane_block_bytes = kLaneBlockLanes / 8;
-    spec.make_lane_block = [d, n, seed](std::size_t b) {
-      return d->make_lane_block(n, seed, b);
+    spec.lane_blocks = w / s;
+    spec.lane_block_bytes = s / 8;
+    spec.make_lane_block = [d, n, seed, s](std::size_t b) {
+      return d->make_lane_block(n, seed, s, b);
     };
     return spec;
   }

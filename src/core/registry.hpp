@@ -27,10 +27,11 @@ namespace bsrng::core {
 //                 (params, b); any contiguous block range can be generated
 //                 independently (aes-ctr-*, chacha20-*, philox).
 //   kLaneSlice  — bitsliced W-lane engines: lanes are independent instances,
-//                 so a 32-lane sub-engine over lanes [32b, 32b+32) reproduces
-//                 byte columns [4b, 4b+4) of every serialized slice row
-//                 (mickey/grain/trivium/a51 bitsliced — the paper's per-GPU
-//                 device slices).
+//                 so an S-lane sub-engine over lanes [S*b, S*b+S) reproduces
+//                 byte columns [S/8*b, S/8*(b+1)) of every serialized slice
+//                 row (mickey/grain/trivium/a51 bitsliced — the paper's
+//                 per-GPU device slices, run at the widest S the worker
+//                 count allows).
 //   kSequential — no safe decomposition is known; the stream is produced by
 //                 one worker (scalar references and classical baselines).
 enum class PartitionKind { kCounter, kLaneSlice, kSequential };
@@ -50,7 +51,8 @@ struct PartitionSpec {
   // kLaneSlice: the serialized stream is rows of
   // lane_blocks * lane_block_bytes bytes; make_lane_block(b) yields the
   // column sub-stream contributing bytes [b*lane_block_bytes,
-  // (b+1)*lane_block_bytes) of every row.
+  // (b+1)*lane_block_bytes) of every row, as one generator of
+  // 8 * lane_block_bytes lanes.
   std::size_t lane_blocks = 0;
   std::size_t lane_block_bytes = 0;
   std::function<std::unique_ptr<Generator>(std::size_t lane_block)>
@@ -61,9 +63,16 @@ struct PartitionSpec {
   std::function<std::unique_ptr<Generator>()> make;
 };
 
-// Sharding recipe for a registered algorithm; throws std::invalid_argument
-// for unknown names (same name space as make_generator).
-PartitionSpec partition_spec(std::string_view name, std::uint64_t seed);
+// Sharding recipe for a registered algorithm, laid out for `workers`
+// workers (0 = hardware concurrency, as StreamEngineConfig::workers); throws
+// std::invalid_argument for unknown names (same name space as
+// make_generator).  `workers` only shapes the kLaneSlice grid of a W-lane
+// stream: its slice width S is the widest of {32, 64, 128, 256, 512} with
+// S <= W and W/S >= workers (32 when none leaves that many), so
+// lane_blocks = W/S and lane_block_bytes = S/8.  One worker (or W = 32)
+// gives a one-block grid whose shard is the whole stream.
+PartitionSpec partition_spec(std::string_view name, std::uint64_t seed,
+                             std::size_t workers = 0);
 
 struct AlgorithmInfo {
   std::string name;
@@ -76,7 +85,8 @@ struct AlgorithmInfo {
   // The sharding recipe for this algorithm — `partition` tells callers
   // whether it decomposes, this constructs the shards.  One lookup covers
   // discovery and construction, so the two can never use different names.
-  PartitionSpec partition_spec(std::uint64_t seed) const;
+  PartitionSpec partition_spec(std::uint64_t seed,
+                               std::size_t workers = 0) const;
 };
 
 // All registered algorithms with their measured gate costs.

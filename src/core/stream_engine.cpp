@@ -68,8 +68,9 @@ StreamEngine::~StreamEngine() = default;
 
 ThroughputReport StreamEngine::generate(const StreamRequest& req,
                                         std::span<std::uint8_t> out) {
-  return generate(partition_spec(req.algorithm, req.derived_seed()),
-                  req.offset, out);
+  return generate(
+      partition_spec(req.algorithm, req.derived_seed(), config_.workers),
+      req.offset, out);
 }
 
 stream::StreamCheckpoint StreamEngine::checkpoint(
@@ -93,25 +94,14 @@ ThroughputReport StreamEngine::resume(const stream::StreamCheckpoint& ck,
 ThroughputReport StreamEngine::generate(const PartitionSpec& spec,
                                         std::uint64_t offset,
                                         std::span<std::uint8_t> out) {
-  if (offset == 0) {
-    switch (spec.kind) {
-      case PartitionKind::kCounter:
-        return run_counter(spec, out);
-      case PartitionKind::kLaneSlice:
-        return run_lane_slice(spec, out);
-      case PartitionKind::kSequential:
-        return run_sequential(spec, out);
-    }
-    throw std::logic_error("StreamEngine: unhandled partition kind");
-  }
   // The span must fit the 2^64-byte stream address space: a wrapping end
-  // offset would undersize the lane-slice scratch envelope below and turn
-  // into an out-of-bounds read.
+  // offset would corrupt the seek and row arithmetic below.
   if (out.size() > std::numeric_limits<std::uint64_t>::max() - offset)
     throw std::invalid_argument(
         "StreamEngine: offset + span length overflows the stream address");
   switch (spec.kind) {
     case PartitionKind::kCounter: {
+      if (offset == 0) return run_counter(spec, out);
       if (spec.block_bytes == 0 || !spec.make_at_block)
         throw std::invalid_argument("StreamEngine: malformed kCounter spec");
       const std::uint64_t bb = spec.block_bytes;
@@ -138,65 +128,19 @@ ThroughputReport StreamEngine::generate(const PartitionSpec& spec,
       rep.bytes = out.size();
       return rep;
     }
-    case PartitionKind::kLaneSlice: {
-      if (spec.lane_blocks == 0 || spec.lane_block_bytes == 0 ||
-          !spec.make_lane_block)
-        throw std::invalid_argument("StreamEngine: malformed kLaneSlice spec");
-      const std::uint64_t cb = spec.lane_block_bytes;
-      const std::uint64_t row = spec.lane_blocks * cb;
-      const std::uint64_t r0 = offset / row;
-      const std::size_t within = static_cast<std::size_t>(offset % row);
-      // Each 32-lane column sub-stream fast-forwards past its first r0 rows
-      // independently, inside its own pool task — the seek parallelizes
-      // exactly like generation does.
-      PartitionSpec shifted = spec;
-      shifted.make_lane_block = [&spec, r0, cb](std::size_t b) {
-        auto gen = spec.make_lane_block(b);
-        discard_bytes(*gen, r0 * cb);
-        return gen;
-      };
-      if (within == 0 && out.size() % row == 0)
-        return run_lane_slice(shifted, out);
-      if (out.empty()) return run_lane_slice(shifted, out);
-      // Row-align through a scratch envelope, then slice the request out.
-      // end >= 1 (out is non-empty) and cannot wrap (checked on entry), so
-      // ceil(end / row) is computed wrap-free as (end - 1) / row + 1.
-      const std::uint64_t end = offset + out.size();
-      const std::uint64_t rows = (end - 1) / row + 1 - r0;
-      if (rows > std::numeric_limits<std::size_t>::max() / row)
-        throw std::invalid_argument(
-            "StreamEngine: lane-slice scratch envelope overflows size_t");
-      std::vector<std::uint8_t> scratch(
-          static_cast<std::size_t>(rows * row));
-      ThroughputReport rep = run_lane_slice(shifted, scratch);
-      std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(within),
-                scratch.begin() + static_cast<std::ptrdiff_t>(within) +
-                    static_cast<std::ptrdiff_t>(out.size()),
-                out.begin());
-      rep.bytes = out.size();
-      return rep;
-    }
-    case PartitionKind::kSequential: {
+    case PartitionKind::kLaneSlice:
+      return run_lane_slice(spec, offset, out);
+    case PartitionKind::kSequential:
       if (!spec.make)
         throw std::invalid_argument("StreamEngine: malformed kSequential spec");
-      return dispatch(out.empty() ? 0 : 1,
-                      [&](std::size_t, std::size_t) -> std::uint64_t {
-        auto gen = spec.make();
-        discard_bytes(*gen, offset);
-        const std::size_t chunk =
-            config_.chunk_bytes == 0 ? out.size() : config_.chunk_bytes;
-        for (std::size_t i = 0; i < out.size(); i += chunk)
-          gen->fill(out.subspan(i, std::min(chunk, out.size() - i)));
-        return out.size();
-      });
-    }
+      return run_sequential(spec.make, offset, out);
   }
   throw std::logic_error("StreamEngine: unhandled partition kind");
 }
 
 ThroughputReport StreamEngine::dispatch(
     std::size_t ntasks,
-    const std::function<std::uint64_t(std::size_t, std::size_t)>& task) {
+    const std::function<TaskOutput(std::size_t, std::size_t)>& task) {
   // Every generation job funnels through here, so one injection point
   // models "the allocation/setup for this job failed".  It fires before any
   // output byte is written: a caller that catches and re-issues the span
@@ -207,12 +151,13 @@ ThroughputReport StreamEngine::dispatch(
   EngineMetrics& em = EngineMetrics::get();
   const auto timed = [&](std::size_t worker, std::size_t t) {
     const auto t0 = Clock::now();
-    const std::uint64_t bytes = task(worker, t);
+    const TaskOutput done = task(worker, t);
     const double secs =
         std::chrono::duration<double>(Clock::now() - t0).count();
     WorkerStat& s = rep.per_worker[worker];
     s.seconds += secs;
-    s.bytes += bytes;
+    s.bytes += done.bytes;
+    s.lanes = done.lanes;
     ++s.tasks;
     em.tasks.add();
     em.task_seconds.observe(secs);
@@ -253,38 +198,51 @@ ThroughputReport StreamEngine::run_counter(const PartitionSpec& spec,
       blocks_total == 0 ? 0
                         : (blocks_total + blocks_per_chunk - 1) /
                               blocks_per_chunk;
-  return dispatch(nchunks, [&](std::size_t, std::size_t c) -> std::uint64_t {
+  return dispatch(nchunks, [&](std::size_t, std::size_t c) -> TaskOutput {
     const std::size_t first_block = c * blocks_per_chunk;
     const std::size_t first_byte = first_block * bb;
     const std::size_t last_byte =
         std::min(out.size(), (first_block + blocks_per_chunk) * bb);
     auto gen = spec.make_at_block(first_block);
     gen->fill(out.subspan(first_byte, last_byte - first_byte));
-    return last_byte - first_byte;
+    return {last_byte - first_byte, gen->lanes()};
   });
 }
 
 ThroughputReport StreamEngine::run_lane_slice(const PartitionSpec& spec,
+                                              std::uint64_t offset,
                                               std::span<std::uint8_t> out) {
   if (spec.lane_blocks == 0 || spec.lane_block_bytes == 0 ||
       !spec.make_lane_block)
     throw std::invalid_argument("StreamEngine: malformed kLaneSlice spec");
+  // A one-block grid's shard is the whole stream.
+  if (spec.lane_blocks == 1)
+    return run_sequential([&spec] { return spec.make_lane_block(0); }, offset,
+                          out);
   const std::size_t nb = spec.lane_blocks;        // column sub-streams
   const std::size_t cb = spec.lane_block_bytes;   // bytes per row per block
   const std::size_t row = nb * cb;                // serialized row stride
-  const std::size_t rows = (out.size() + row - 1) / row;
+  // Every shard discards the `skip` whole rows before the span; row r of
+  // what the shards then produce lands at out[r*row - lead, (r+1)*row -
+  // lead), clipped to the span.
+  const std::uint64_t skip = offset / row;
+  const std::size_t lead = static_cast<std::size_t>(offset % row);
+  const std::size_t end = lead + out.size();
+  const std::size_t rows = (end + row - 1) / row;
   // One task per lane block; the worker streams its column generator into
   // alternating scratch buffers (double-buffered: the scatter of buffer A
   // runs while buffer B is still warm from the previous round) and scatters
-  // rows into the interleaved output.  With a pool the buffers are the
-  // worker's persistent node-local pair (first-touched on that worker's
-  // thread, reused across batches); the inline path keeps task-local ones.
+  // its column of row r to out[r*row + b*cb - lead, ...).
+  // With a pool the buffers are the worker's persistent node-local pair
+  // (first-touched on that worker's thread, reused across batches); the
+  // inline path keeps task-local ones.
   const std::size_t rows_per_chunk = std::max<std::size_t>(
       1, (config_.chunk_bytes == 0 ? (1u << 18) : config_.chunk_bytes) / cb);
   const bool pooled = config_.parallel && pool_ != nullptr;
-  return dispatch(rows == 0 ? 0 : nb,
-                  [&](std::size_t worker, std::size_t b) -> std::uint64_t {
+  return dispatch(out.empty() ? 0 : nb,
+                  [&](std::size_t worker, std::size_t b) -> TaskOutput {
     auto gen = spec.make_lane_block(b);
+    discard_bytes(*gen, skip * cb);
     std::vector<std::uint8_t> local[2];
     const auto buf = [&](std::size_t which) -> std::vector<std::uint8_t>& {
       return pooled ? pool_->scratch(worker, which) : local[which];
@@ -295,34 +253,36 @@ ThroughputReport StreamEngine::run_lane_slice(const PartitionSpec& spec,
     std::size_t which = 0;
     for (std::size_t r0 = 0; r0 < rows; r0 += rows_per_chunk, which ^= 1) {
       const std::size_t r1 = std::min(rows, r0 + rows_per_chunk);
-      std::vector<std::uint8_t>& col = buf(which);
-      gen->fill(std::span(col.data(), (r1 - r0) * cb));
-      for (std::size_t r = r0; r < r1; ++r) {
-        const std::size_t dst = r * row + b * cb;
-        if (dst >= out.size()) break;
-        const std::size_t n = std::min(cb, out.size() - dst);
-        std::memcpy(out.data() + dst, col.data() + (r - r0) * cb, n);
-        produced += n;
+      const std::uint8_t* col = buf(which).data();
+      gen->fill(std::span(buf(which).data(), (r1 - r0) * cb));
+      for (std::size_t r = r0; r < r1; ++r, col += cb) {
+        const std::size_t pos = r * row + b * cb;  // column start, row frame
+        const std::size_t lo = std::max(pos, lead);
+        const std::size_t hi = std::min(pos + cb, end);
+        if (lo >= hi) continue;
+        std::memcpy(out.data() + (lo - lead), col + (lo - pos), hi - lo);
+        produced += hi - lo;
       }
     }
-    return produced;
+    return {produced, gen->lanes()};
   });
 }
 
-ThroughputReport StreamEngine::run_sequential(const PartitionSpec& spec,
-                                              std::span<std::uint8_t> out) {
-  if (!spec.make)
-    throw std::invalid_argument("StreamEngine: malformed kSequential spec");
-  // No safe decomposition: one task produces the whole stream, chunked so
-  // the report still reflects steady-state generation.
+ThroughputReport StreamEngine::run_sequential(
+    const std::function<std::unique_ptr<Generator>()>& make,
+    std::uint64_t offset, std::span<std::uint8_t> out) {
+  // No decomposition: one task clocks one generator past the offset and
+  // produces the whole span, chunked so the report still reflects
+  // steady-state generation.
   return dispatch(out.empty() ? 0 : 1,
-                  [&](std::size_t, std::size_t) -> std::uint64_t {
-    auto gen = spec.make();
+                  [&](std::size_t, std::size_t) -> TaskOutput {
+    auto gen = make();
+    discard_bytes(*gen, offset);
     const std::size_t chunk =
         config_.chunk_bytes == 0 ? out.size() : config_.chunk_bytes;
     for (std::size_t i = 0; i < out.size(); i += chunk)
       gen->fill(out.subspan(i, std::min(chunk, out.size() - i)));
-    return out.size();
+    return {out.size(), gen->lanes()};
   });
 }
 

@@ -12,10 +12,13 @@
 //   kCounter    — the span is cut into block-aligned chunks; each worker
 //                 claims chunks dynamically and generates them with a shard
 //                 generator seeked to the chunk's first block.
-//   kLaneSlice  — each worker claims 32-lane column sub-streams and scatters
-//                 their bytes into the interleaved row layout, double-
-//                 buffered per worker so generation and scatter alternate on
-//                 warm buffers (the buffers live in the pool, node-local).
+//   kLaneSlice  — the spec's grid has one S-lane column sub-stream per
+//                 task, S the widest slice that still gives every worker a
+//                 shard (registry.hpp).  Each shard discards the rows before
+//                 the offset, then scatters its S/8-byte column of every row
+//                 straight into the span, clipped at both ends; a worker
+//                 double-buffers the column in its node-local pool scratch.
+//                 A one-block grid is the whole stream and runs as kSequential.
 //   kSequential — one worker produces the whole stream in chunks (no safe
 //                 decomposition; determinism is trivial).
 //
@@ -24,8 +27,7 @@
 // generate(req, out) fills bytes [offset, offset + out.size()) of that
 // substream — the same bytes for every worker count, NUMA node count,
 // backend, and protocol version (the fabric's byte-exactness law).  The
-// historical (algorithm, seed) overload pairs survive as [[deprecated]]
-// forwarders; see the README migration table.
+// README migration table maps the removed pre-StreamRef overloads onto it.
 //
 // checkpoint()/resume() turn any position into a serializable
 // stream::StreamCheckpoint and back — O(1) both ways for counter specs.
@@ -34,9 +36,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
-#include <string_view>
+#include <string>
 
 #include "core/registry.hpp"
 #include "core/thread_pool.hpp"
@@ -89,10 +92,12 @@ class StreamEngine {
   // Fill `out` with bytes [req.offset, req.offset + out.size()) of the
   // substream named by `req` — byte-identical to
   // make_generator(req.algorithm, req.derived_seed())->fill over the same
-  // range, for every worker count.  Seek cost depends on the partition
-  // kind: kCounter seeks in O(1) via make_at_block (offsets past 2^40 are
-  // fine), kLaneSlice fast-forwards each 32-lane column sub-stream
-  // independently, and kSequential clocks one generator past the offset.
+  // range, for every worker count.  The spec is the registry's, with its
+  // lane-slice grid sized to this engine's worker count.  Seek cost depends
+  // on the partition kind: kCounter seeks in O(1) via make_at_block (offsets
+  // past 2^40 are fine), kLaneSlice fast-forwards each column sub-stream
+  // independently (offset / row rows), and kSequential clocks one generator
+  // past the offset.
   ThroughputReport generate(const StreamRequest& req,
                             std::span<std::uint8_t> out);
 
@@ -116,51 +121,31 @@ class StreamEngine {
   ThroughputReport resume(const stream::StreamCheckpoint& ck,
                           std::span<std::uint8_t> out);
 
-  // --- historical overloads (pre-StreamRef), thin forwarders ------------
-
-  [[deprecated("use generate(StreamRequest{algo, seed}, out)")]]
-  ThroughputReport generate(std::string_view algo, std::uint64_t seed,
-                            std::span<std::uint8_t> out) {
-    return generate(StreamRequest{std::string(algo), seed, {}, 0}, out);
-  }
-
-  [[deprecated("use generate(spec, 0, out)")]]
-  ThroughputReport generate(const PartitionSpec& spec,
-                            std::span<std::uint8_t> out) {
-    return generate(spec, 0, out);
-  }
-
-  [[deprecated(
-      "use generate(StreamRequest{algo, seed, {}, offset}, out)")]]
-  ThroughputReport generate_at(std::string_view algo, std::uint64_t seed,
-                               std::uint64_t offset,
-                               std::span<std::uint8_t> out) {
-    return generate(StreamRequest{std::string(algo), seed, {}, offset}, out);
-  }
-
-  [[deprecated("use generate(spec, offset, out)")]]
-  ThroughputReport generate_at(const PartitionSpec& spec,
-                               std::uint64_t offset,
-                               std::span<std::uint8_t> out) {
-    return generate(spec, offset, out);
-  }
-
  private:
+  // What one task produced: output bytes, and the lane width of the shard
+  // generator that made them.
+  struct TaskOutput {
+    std::uint64_t bytes = 0;
+    std::size_t lanes = 0;
+  };
+
   ThroughputReport run_counter(const PartitionSpec& spec,
                                std::span<std::uint8_t> out);
   ThroughputReport run_lane_slice(const PartitionSpec& spec,
+                                  std::uint64_t offset,
                                   std::span<std::uint8_t> out);
-  ThroughputReport run_sequential(const PartitionSpec& spec,
-                                  std::span<std::uint8_t> out);
+  // One task: make() clocked past `offset`, then filled in place.
+  ThroughputReport run_sequential(
+      const std::function<std::unique_ptr<Generator>()>& make,
+      std::uint64_t offset, std::span<std::uint8_t> out);
 
-  // Run task(worker, t) for t in [0, ntasks) honoring config_.parallel;
-  // each task returns the bytes it produced.  Times every task and
-  // attributes busy time/bytes to the executing worker; returns the
-  // finalized report.
+  // Run task(worker, t) for t in [0, ntasks) honoring config_.parallel.
+  // Times every task and attributes busy time, bytes and shard width to the
+  // executing worker; returns the finalized report.
   ThroughputReport dispatch(
       std::size_t ntasks,
-      const std::function<std::uint64_t(std::size_t worker,
-                                        std::size_t task)>& task);
+      const std::function<TaskOutput(std::size_t worker, std::size_t task)>&
+          task);
 
   StreamEngineConfig config_;
   std::unique_ptr<ThreadPool> pool_;

@@ -98,7 +98,11 @@ ThreadPool::~ThreadPool() {
 }
 
 std::size_t ThreadPool::default_workers() {
-  return std::max(1u, std::thread::hardware_concurrency());
+  // hardware_concurrency() queries the OS on every call; the answer is fixed
+  // for the process, and partition_spec asks for it on every default grid.
+  static const std::size_t n =
+      std::max(1u, std::thread::hardware_concurrency());
+  return n;
 }
 
 void ThreadPool::run_indexed(

@@ -67,7 +67,8 @@ class ThreadPool {
                    const std::function<void(std::size_t worker,
                                             std::size_t task)>& fn);
 
-  // Default worker count: the hardware concurrency, at least one.
+  // Default worker count: the hardware concurrency, at least one (resolved
+  // once per process).
   static std::size_t default_workers();
 
  private:

@@ -36,10 +36,12 @@ void finalize_report(ThroughputReport& rep) {
   rep.bytes = 0;
   rep.max_worker_seconds = 0.0;
   rep.sum_worker_seconds = 0.0;
+  rep.executed_width = 0;
   for (const WorkerStat& w : rep.per_worker) {
     rep.bytes += w.bytes;
     rep.sum_worker_seconds += w.seconds;
     rep.max_worker_seconds = std::max(rep.max_worker_seconds, w.seconds);
+    rep.executed_width = std::max(rep.executed_width, w.lanes);
   }
 }
 

@@ -32,6 +32,7 @@ struct WorkerStat {
   std::uint64_t bytes = 0;   // output bytes this worker produced
   double seconds = 0.0;      // busy time across all its tasks
   std::size_t tasks = 0;     // partition tasks it claimed
+  std::size_t lanes = 0;     // lane width of the shard generators it ran
 };
 
 struct ThroughputReport {
@@ -41,6 +42,10 @@ struct ThroughputReport {
   double max_worker_seconds = 0.0;  // slowest worker (parallel wall bound)
   double sum_worker_seconds = 0.0;  // total work (1-worker-equivalent time)
   std::vector<WorkerStat> per_worker;
+  // Lane width of the shard generators that actually ran (their
+  // Generator::lanes()); 0 when no shard ran.  A lane-slice stream of
+  // nominal width W runs narrower shards when it is split across workers.
+  std::size_t executed_width = 0;
 
   // Degradation-ladder annotations (multi_device gpusim backend): how many
   // simulated device launches faulted, and whether the span was regenerated
@@ -64,8 +69,8 @@ struct ThroughputReport {
   }
 };
 
-// Recompute the aggregate max/sum fields from `per_worker` (the engine calls
-// this after workers publish their stats).
+// Recompute the aggregate max/sum/width fields from `per_worker` (the engine
+// calls this after workers publish their stats).
 void finalize_report(ThroughputReport& rep);
 
 }  // namespace bsrng::core

@@ -6,7 +6,8 @@
 // refused, request deadline, mid-frame reset, server kill/restart, an
 // injected fault — the client reconnects and re-asks for the exact byte
 // offset it was owed, and the splice is byte-exact by the engine law
-// (generate_at is positional; DESIGN.md §13 has the proof sketch).
+// (StreamEngine::generate is positional; DESIGN.md §13 has the proof
+// sketch).
 //
 // Failure handling per attempt:
 //   * connect: non-blocking with connect_timeout_ms (Client's deadline).

@@ -8,8 +8,9 @@
 // continue byte-exactly — the restart-determinism invariant of tests/net.
 //
 // Seek cost is the algorithm's PartitionSpec seek:
-//   kCounter     every serve goes through StreamEngine::generate_at, which
-//                seeks in O(1) via make_at_block (offsets past 2^40 work).
+//   kCounter     every serve goes through StreamEngine's positional
+//                generate, which seeks in O(1) via make_at_block (offsets
+//                past 2^40 work).
 //   kLaneSlice / kSequential
 //                the session holds the live canonical generator and a
 //                cursor.  Sequential traffic (offset == cursor, the common

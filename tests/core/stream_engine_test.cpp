@@ -16,6 +16,7 @@
 
 #include "core/registry.hpp"
 #include "core/stream_engine.hpp"
+#include "core/thread_pool.hpp"
 
 namespace co = bsrng::core;
 
@@ -45,6 +46,23 @@ std::vector<std::string> all_names() {
   return names;
 }
 
+// The lane-slice families at W in {32, 128, 512}: the widths whose grids
+// span one block (W = 32), a few, and the full AVX-512 datapath.
+bool on_lane_grid(const co::AlgorithmInfo& a) {
+  return a.partition == co::PartitionKind::kLaneSlice &&
+         (a.lanes == 32 || a.lanes == 128 || a.lanes == 512);
+}
+
+// Every algorithm runs on {1, 2, 3, 8} workers; the lane-grid algorithms
+// also run on 4, 5, 16 and 17, which include more workers than the W/32
+// lane blocks the narrowest grid has.
+std::vector<std::size_t> worker_counts(const std::string& name) {
+  std::vector<std::size_t> w = {1, 2, 3, 8};
+  if (on_lane_grid(*co::find_algorithm(name)))
+    w.insert(w.end(), {4, 5, 16, 17});
+  return w;
+}
+
 }  // namespace
 
 TEST_P(StreamEngineDeterminism, MatchesDirectFillForEveryWorkerCount) {
@@ -55,7 +73,7 @@ TEST_P(StreamEngineDeterminism, MatchesDirectFillForEveryWorkerCount) {
   std::vector<std::uint8_t> reference(big);
   co::make_generator(name, kSeed)->fill(reference);
 
-  for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
+  for (const std::size_t workers : worker_counts(name)) {
     co::StreamEngine engine({.workers = workers});
     for (const std::size_t n : span_sizes()) {
       std::vector<std::uint8_t> out(n, 0xAA);
@@ -131,6 +149,43 @@ TEST(StreamEngine, ReportAccountsAllBytesAndTasks) {
   EXPECT_GE(rep.modeled_speedup(), 1.0 - 1e-9);
 }
 
+TEST(StreamEngine, LaneGridUsesTheWidestSliceThatGivesEveryWorkerAShard) {
+  for (const auto& a : co::list_algorithms()) {
+    if (a.partition != co::PartitionKind::kLaneSlice) continue;
+    for (const std::size_t workers : {1u, 2u, 3u, 4u, 5u, 8u, 16u, 17u}) {
+      // The rule: the widest S in {32, ..., 512} with S <= W and
+      // W/S >= workers, or 32 when none leaves that many blocks.
+      std::size_t s = 32;
+      for (const std::size_t c : {64u, 128u, 256u, 512u})
+        if (c <= a.lanes && a.lanes / c >= workers) s = c;
+      const auto spec = co::partition_spec(a.name, kSeed, workers);
+      ASSERT_EQ(spec.lane_block_bytes, s / 8)
+          << a.name << " workers " << workers;
+      ASSERT_EQ(spec.lane_blocks, a.lanes / s)
+          << a.name << " workers " << workers;
+      for (std::size_t b = 0; b < spec.lane_blocks; ++b)
+        EXPECT_EQ(spec.make_lane_block(b)->lanes(), 8 * spec.lane_block_bytes)
+            << a.name << " block " << b;
+
+      // A non-empty call on an engine of that width runs one task per
+      // lane block, and reports the width its shards ran at.
+      co::StreamEngine engine({.workers = workers});
+      std::vector<std::uint8_t> out(a.lanes / 8 + 1);
+      const auto rep = engine.generate({a.name, kSeed}, out);
+      std::size_t tasks = 0;
+      for (const auto& w : rep.per_worker) tasks += w.tasks;
+      EXPECT_EQ(tasks, spec.lane_blocks) << a.name << " workers " << workers;
+      EXPECT_EQ(rep.executed_width, s) << a.name << " workers " << workers;
+    }
+    // workers = 0 is the host-concurrency grid.
+    EXPECT_EQ(co::partition_spec(a.name, kSeed).lane_blocks,
+              co::partition_spec(a.name, kSeed,
+                                 co::ThreadPool::default_workers())
+                  .lane_blocks)
+        << a.name;
+  }
+}
+
 TEST(StreamEngine, PartitionKindsMatchListing) {
   // The listing's partition column is the spec actually built.
   for (const auto& a : co::list_algorithms()) {
@@ -142,10 +197,10 @@ TEST(StreamEngine, PartitionKindsMatchListing) {
 }
 
 // ---------------------------------------------------------------------------
-// generate_at — the offset-addressable span API bsrngd's session resume is
-// built on.  Tail-equivalence law: generate_at(offset, n) must equal the
-// last n bytes of a fresh offset+n byte fill, for every partition kind,
-// worker count, and unaligned offset.
+// Positional generate — the offset-addressable span API bsrngd's session
+// resume is built on.  Tail-equivalence law: generate({.., offset}, n) must
+// equal the last n bytes of a fresh offset+n byte fill, for every partition
+// kind, worker count, and unaligned offset.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -155,24 +210,53 @@ namespace {
 const char* const kOffsetAlgos[] = {"aes-ctr-bs64", "chacha20-bs32",
                                     "mickey-bs64", "grain-bs32", "mt19937"};
 
+struct TailCase {
+  std::string name;
+  std::vector<std::uint64_t> offsets;
+  std::vector<std::size_t> lengths;
+  std::vector<std::size_t> workers;
+};
+
+std::vector<TailCase> tail_cases() {
+  std::vector<TailCase> cases;
+  // Offsets straddle block (16/64) and row (W/8 per step) boundaries.
+  for (const char* name : kOffsetAlgos)
+    cases.push_back({name, {1, 15, 16, 63, 64, 257, 4095}, {8191}, {1, 3}});
+  // Lane grids: spans that start and end inside a row, on either side of a
+  // row boundary, and past a 64 KiB seek, on grids of every shape.
+  for (const auto& a : co::list_algorithms()) {
+    if (!on_lane_grid(a)) continue;
+    const std::uint64_t row = a.lanes / 8;
+    cases.push_back({a.name,
+                     {1, row - 1, row, 5 * row + 3, 65537},
+                     {1, row - 1, row + 1, 40000},
+                     {4, 5, 16, 17}});
+  }
+  return cases;
+}
+
 }  // namespace
 
 TEST(StreamEngineGenerateAt, TailEquivalenceAtUnalignedOffsets) {
-  for (const char* name : kOffsetAlgos) {
-    const std::size_t n = 8191;
-    // Offsets straddle block (16/64) and row (W/8 per step) boundaries.
-    for (const std::size_t offset : {1u, 15u, 16u, 63u, 64u, 257u, 4095u}) {
-      std::vector<std::uint8_t> reference(offset + n);
-      co::make_generator(name, kSeed)->fill(reference);
-      for (const std::size_t workers : {1u, 3u}) {
-        co::StreamEngine engine({.workers = workers, .chunk_bytes = 1u << 10});
-        std::vector<std::uint8_t> out(n, 0xAA);
-        const auto rep = engine.generate({name, kSeed, {}, offset}, out);
-        ASSERT_TRUE(std::equal(out.begin(), out.end(),
-                               reference.begin() +
-                                   static_cast<std::ptrdiff_t>(offset)))
-            << name << " offset " << offset << " workers " << workers;
-        EXPECT_EQ(rep.bytes, n) << name;
+  for (const TailCase& c : tail_cases()) {
+    const std::uint64_t reach =
+        *std::max_element(c.offsets.begin(), c.offsets.end()) +
+        *std::max_element(c.lengths.begin(), c.lengths.end());
+    std::vector<std::uint8_t> reference(reach);
+    co::make_generator(c.name, kSeed)->fill(reference);
+    for (const std::size_t workers : c.workers) {
+      co::StreamEngine engine({.workers = workers, .chunk_bytes = 1u << 10});
+      for (const std::uint64_t offset : c.offsets) {
+        for (const std::size_t n : c.lengths) {
+          std::vector<std::uint8_t> out(n, 0xAA);
+          const auto rep = engine.generate({c.name, kSeed, {}, offset}, out);
+          ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                                 reference.begin() +
+                                     static_cast<std::ptrdiff_t>(offset)))
+              << c.name << " offset " << offset << " length " << n
+              << " workers " << workers;
+          EXPECT_EQ(rep.bytes, n) << c.name;
+        }
       }
     }
   }
@@ -216,10 +300,9 @@ TEST(StreamEngineGenerateAt, HugeCounterOffsetsSeekInConstantTime) {
 }
 
 TEST(StreamEngineGenerateAt, OverflowingSpansAreRejected) {
-  // offset + out.size() wrapping past 2^64 would undersize the lane-slice
-  // scratch envelope (an out-of-bounds read) and corrupt counter/sequential
-  // arithmetic; generate_at must reject it before any work, for every
-  // partition kind.
+  // offset + out.size() wrapping past 2^64 would corrupt the lane-slice row
+  // arithmetic and the counter/sequential seeks; positional generate must
+  // reject it before any work, for every partition kind.
   co::StreamEngine engine({.workers = 2});
   const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
   for (const char* name : kOffsetAlgos) {

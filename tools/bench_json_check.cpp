@@ -20,6 +20,11 @@
 //   transactions_measured   number, non-negative integer
 //   tpa_predicted           number, >= 0, finite
 //
+// and, optionally (StreamEngine / multi-device rows):
+//
+//   executed_width          number, positive integer dividing `width`: the
+//                           lane width the shard generators actually ran
+//
 // and, optionally (bsrng_loadgen throughput rows, backend "net"):
 //
 //   connections             number, positive integer
@@ -125,6 +130,21 @@ bool check_file(const char* path) {
                        /*integral=*/true, 0.0, /*optional=*/true);
     ok &= check_number(rec, path, i, "tpa_predicted", /*integral=*/false, 0.0,
                        /*optional=*/true);
+    // Optional executed lane width: a row may not claim shards wider than
+    // its nominal width, nor a width that does not tile it.
+    if (check_number(rec, path, i, "executed_width", /*integral=*/true, 1.0,
+                     /*optional=*/true)) {
+      const tel::JsonValue* ew = rec.find("executed_width");
+      const tel::JsonValue* w = rec.find("width");
+      if (ew != nullptr && w != nullptr && w->is_number()) {
+        const double e = ew->as_number(), width = w->as_number();
+        if (e > width || std::fmod(width, e) != 0.0)
+          ok = fail(path, i,
+                    "executed_width must be at most width and divide it");
+      }
+    } else {
+      ok = false;
+    }
     // Optional loadgen keys (bsrng_loadgen --json soak records).
     ok &= check_number(rec, path, i, "connections", /*integral=*/true, 1.0,
                        /*optional=*/true);
@@ -148,7 +168,7 @@ bool check_file(const char* path) {
     std::size_t known = 8;
     for (const char* opt :
          {"transactions_predicted", "transactions_measured", "tpa_predicted",
-          "connections", "requests", "oracle_mismatches", "retries",
+          "executed_width", "connections", "requests", "oracle_mismatches", "retries",
           "reconnects", "faults_injected", "tenant", "stream",
           "checkpoint_resumes"})
       if (rec.find(opt) != nullptr) ++known;
